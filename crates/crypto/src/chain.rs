@@ -9,6 +9,7 @@
 //! signatures certifying each forwarding step).
 
 use crate::digest::Digest;
+use crate::digestible::DigestWriter;
 use crate::keys::{KeyRegistry, NodeSigner, Signature};
 use atum_types::{NodeId, WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use serde::{Deserialize, Serialize};
@@ -65,8 +66,7 @@ impl SignatureChain {
     /// Appends a signature by `signer` over the payload and the chain so far,
     /// so links cannot be reordered or truncated undetectably in the middle.
     pub fn append(&mut self, signer: &NodeSigner) {
-        let binding = self.binding_digest();
-        let sig = signer.sign_digest(&binding);
+        let sig = signer.sign_digest(&self.binding_digest());
         self.links.push((signer.node(), sig));
     }
 
@@ -90,13 +90,11 @@ impl SignatureChain {
 
     /// Digest that the next link signs: payload plus every existing link.
     fn binding_digest(&self) -> Digest {
-        let mut parts: Vec<Vec<u8>> = vec![self.payload.as_bytes().to_vec()];
+        let mut binding = binding_start(&self.payload);
         for (node, sig) in &self.links {
-            parts.push(node.raw().to_be_bytes().to_vec());
-            parts.push(sig.digest().as_bytes().to_vec());
+            bind_link(&mut binding, *node, sig);
         }
-        let refs: Vec<&[u8]> = parts.iter().map(|p| p.as_slice()).collect();
-        Digest::of_parts(&refs)
+        binding.finish()
     }
 
     /// Verifies the whole chain: every signature checks out against the
@@ -127,17 +125,30 @@ impl SignatureChain {
                 return false;
             }
         }
-        // Re-walk the chain, recomputing the binding digest incrementally.
-        let mut partial = SignatureChain::unsigned(self.payload);
+        // Re-walk the chain, extending one running binding hash link by link
+        // and forking it to check each signature.
+        let mut binding = binding_start(&self.payload);
         for (node, sig) in &self.links {
-            let binding = partial.binding_digest();
-            if !registry.verify_digest(*node, &binding, sig) {
+            if !registry.verify_digest(*node, &binding.clone().finish(), sig) {
                 return false;
             }
-            partial.links.push((*node, *sig));
+            bind_link(&mut binding, *node, sig);
         }
         true
     }
+}
+
+/// The binding hash of a chain over `payload` with no links yet.
+fn binding_start(payload: &Digest) -> DigestWriter {
+    let mut binding = DigestWriter::new();
+    binding.write_raw(payload.as_bytes());
+    binding
+}
+
+/// Extends a binding hash with one link: signer id, then signature.
+fn bind_link(binding: &mut DigestWriter, node: NodeId, sig: &Signature) {
+    binding.write_u64(node.raw());
+    binding.write_raw(sig.digest().as_bytes());
 }
 
 impl WireEncode for SignatureChain {
@@ -250,6 +261,25 @@ mod tests {
         let chain = SignatureChain::unsigned(Digest::of(b"v"));
         assert!(chain.is_empty());
         assert!(!chain.verify(&reg, None, true));
+    }
+
+    /// Pins one binding digest and one link signature, so the way the
+    /// binding hash is computed can change but its value cannot.
+    #[test]
+    fn binding_digest_known_answer() {
+        let (reg, signers) = setup(3);
+        let mut chain = SignatureChain::new(Digest::of(b"v"), &signers[0]);
+        chain.append(&signers[1]);
+        chain.append(&signers[2]);
+        assert_eq!(
+            chain.binding_digest().to_string(),
+            "3abed641e343228aa38db2aa4db8afb91c7dad6224756b91f4867999f6d798c6"
+        );
+        assert_eq!(
+            chain.links()[2].1.digest().to_string(),
+            "460fff6bb7aed7366a2fe279a9de76885d0e91d50604b03af494b6bc46480b0e"
+        );
+        assert!(chain.verify(&reg, Some(NodeId::new(0)), true));
     }
 
     #[test]

@@ -34,6 +34,8 @@ use sha2::{Digest as _, Sha256};
 ///
 /// Values are written through the typed methods so the encoding rules above
 /// hold everywhere; `finish` consumes the writer and returns the digest.
+/// Cloning forks the running state, so a shared prefix is hashed once.
+#[derive(Clone)]
 pub struct DigestWriter {
     hasher: Sha256,
 }

@@ -89,17 +89,24 @@ impl NodeSigner {
     /// The pairwise key is derived from the sender's secret and the receiver
     /// identity; the registry can recompute it for verification.
     pub fn mac(&self, receiver: NodeId, message: &[u8]) -> Mac {
-        Mac(tag(
-            &self.secret,
-            b"mac",
-            receiver,
-            &[&self.node.raw().to_be_bytes()[..], message].concat(),
-        ))
+        Mac(mac_tag(&self.secret, self.node, receiver, message))
     }
 }
 
 fn tag(secret: &[u8; 32], domain: &[u8], id: NodeId, message: &[u8]) -> Digest {
     Digest::of_parts(&[secret, domain, &id.raw().to_be_bytes(), message])
+}
+
+/// The MAC tag: [`tag`] in the `mac` domain for `receiver`, over the
+/// sender id followed by `message`.
+fn mac_tag(secret: &[u8; 32], sender: NodeId, receiver: NodeId, message: &[u8]) -> Digest {
+    Digest::of_parts(&[
+        secret,
+        b"mac",
+        &receiver.raw().to_be_bytes(),
+        &sender.raw().to_be_bytes(),
+        message,
+    ])
 }
 
 /// Registry of every node's key material.
@@ -168,14 +175,7 @@ impl KeyRegistry {
     /// Verifies a MAC produced by `sender` for `receiver`.
     pub fn verify_mac(&self, sender: NodeId, receiver: NodeId, message: &[u8], mac: &Mac) -> bool {
         match self.secrets.get(&sender) {
-            Some(secret) => {
-                tag(
-                    secret,
-                    b"mac",
-                    receiver,
-                    &[&sender.raw().to_be_bytes()[..], message].concat(),
-                ) == mac.0
-            }
+            Some(secret) => mac_tag(secret, sender, receiver, message) == mac.0,
             None => false,
         }
     }
@@ -238,6 +238,25 @@ mod tests {
         assert!(!r.verify_mac(NodeId::new(1), NodeId::new(3), b"hello", &mac));
         assert!(!r.verify_mac(NodeId::new(2), NodeId::new(2), b"hello", &mac));
         assert!(!r.verify_mac(NodeId::new(1), NodeId::new(2), b"bye", &mac));
+    }
+
+    /// Pins one MAC value, so the way the tag is computed can change but
+    /// its value cannot.
+    #[test]
+    fn mac_known_answer() {
+        let mut r = KeyRegistry::new();
+        for n in 0..3 {
+            r.register(NodeId::new(n), 99);
+        }
+        let mac = r
+            .signer(NodeId::new(1))
+            .unwrap()
+            .mac(NodeId::new(2), b"hello");
+        assert_eq!(
+            mac.0.to_string(),
+            "52b57efc5780d47afac478bcd7a2dcb6109589e9124d26b9d722f6deee226fcb"
+        );
+        assert!(r.verify_mac(NodeId::new(1), NodeId::new(2), b"hello", &mac));
     }
 
     #[test]

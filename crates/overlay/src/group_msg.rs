@@ -16,7 +16,7 @@
 
 use atum_crypto::Digest;
 use atum_types::{Composition, NodeId, VgroupId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Identifies one logical group message while it is being collected.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -45,7 +45,8 @@ pub struct GroupMessageCollector {
     accepted: BTreeSet<Key>,
     /// Upper bound on remembered accepted keys, to bound memory.
     remember_limit: usize,
-    accepted_order: Vec<Key>,
+    /// `accepted` keys oldest first, for eviction once the limit is hit.
+    accepted_order: VecDeque<Key>,
 }
 
 impl GroupMessageCollector {
@@ -56,7 +57,7 @@ impl GroupMessageCollector {
             in_progress: BTreeMap::new(),
             accepted: BTreeSet::new(),
             remember_limit: remember_limit.max(1),
-            accepted_order: Vec::new(),
+            accepted_order: VecDeque::new(),
         }
     }
 
@@ -135,12 +136,16 @@ impl GroupMessageCollector {
     }
 
     fn remember(&mut self, key: Key) {
-        self.accepted.insert(key.clone());
-        self.accepted_order.push(key);
-        while self.accepted_order.len() > self.remember_limit {
-            let oldest = self.accepted_order.remove(0);
-            self.accepted.remove(&oldest);
+        // Evict before pushing, so the ring never outgrows the limit: a
+        // ring grown past it would cycle through (and keep resident) twice
+        // the memory the limit allows.
+        if self.accepted_order.len() >= self.remember_limit {
+            if let Some(oldest) = self.accepted_order.pop_front() {
+                self.accepted.remove(&oldest);
+            }
         }
+        self.accepted.insert(key.clone());
+        self.accepted_order.push_back(key);
     }
 
     /// Returns `true` if the message identified by `(source, digest)` has
@@ -264,6 +269,15 @@ mod tests {
         let recent = Digest::of(&4u64.to_be_bytes());
         assert!(!c.is_accepted(VgroupId::new(1), old));
         assert!(c.is_accepted(VgroupId::new(1), recent));
+
+        // The eviction ring stays within the limit instead of doubling
+        // past it.
+        let mut c = GroupMessageCollector::new(4);
+        for i in 0..64u64 {
+            let d = Digest::of(&i.to_be_bytes());
+            assert!(c.observe(VgroupId::new(1), &composition, NodeId::new(1), d, true));
+        }
+        assert!(c.accepted_order.capacity() < 8);
     }
 
     #[test]
